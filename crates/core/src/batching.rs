@@ -103,7 +103,7 @@ pub fn coalesce(ids: &[ModelId], max_batch: u32) -> Vec<BatchGroup> {
 pub fn graphs_for_groups(groups: &[BatchGroup]) -> Vec<ModelGraph> {
     groups
         .iter()
-        .map(|g| batched_graph(&g.model.graph(), g.batch))
+        .map(|g| batched_graph(g.model.graph_ref(), g.batch))
         .collect()
 }
 

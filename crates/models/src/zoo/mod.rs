@@ -7,6 +7,8 @@ pub(crate) mod classic;
 pub(crate) mod modern;
 pub(crate) mod transformer;
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::graph::ModelGraph;
@@ -70,8 +72,21 @@ impl ModelId {
         }
     }
 
-    /// Builds the model's layer graph.
+    /// The model's layer graph. Zoo graphs are built once per process
+    /// and memoized; each call returns a clone of the memoized graph.
     pub fn graph(self) -> ModelGraph {
+        self.graph_ref().clone()
+    }
+
+    /// The memoized layer graph, without cloning it.
+    pub fn graph_ref(self) -> &'static ModelGraph {
+        static GRAPHS: OnceLock<Vec<ModelGraph>> = OnceLock::new();
+        let graphs = GRAPHS.get_or_init(|| ModelId::ALL.iter().map(|id| id.build()).collect());
+        &graphs[self as usize]
+    }
+
+    /// Builds the model's layer graph from scratch.
+    fn build(self) -> ModelGraph {
         match self {
             ModelId::AlexNet => classic::alexnet(),
             ModelId::Vgg16 => classic::vgg16(),
@@ -152,6 +167,12 @@ mod tests {
     fn graphs_are_deterministic() {
         for id in ModelId::ALL {
             assert_eq!(id.graph(), id.graph(), "{id}");
+            assert_eq!(ModelId::ALL[id as usize], id, "{id}: memo slot");
+            assert_eq!(
+                id.graph_ref(),
+                &id.build(),
+                "{id}: memo matches a fresh build"
+            );
         }
     }
 

@@ -53,9 +53,9 @@ impl Calibration {
         let mut solo_ms = Vec::with_capacity(ModelId::ALL.len());
         let mut class = Vec::with_capacity(ModelId::ALL.len());
         for id in ModelId::ALL {
-            let graph = id.graph();
+            let graph = id.graph_ref();
             let best = (0..soc.processors.len())
-                .filter_map(|p| cost.model_latency_ms(&graph, ProcessorId(p)))
+                .filter_map(|p| cost.model_latency_ms(graph, ProcessorId(p)))
                 .fold(f64::INFINITY, f64::min);
             // Every SoC has a big CPU cluster that supports all
             // operators, so `best` is finite; the fallback keeps the

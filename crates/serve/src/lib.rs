@@ -49,7 +49,8 @@ pub use admission::{AdmissionControl, Calibration};
 pub use loadgen::{generate_arrivals, Arrival};
 pub use queue::{AdmitQueue, QueuedRequest};
 pub use server::{
-    OutcomeCounts, RejectReason, RequestRecord, ServeConfig, ServeOutcome, ServeReport, Server,
+    OutcomeCounts, RejectReason, RequestRecord, ServeConfig, ServeError, ServeOutcome, ServeReport,
+    Server,
 };
 pub use sweep::{sweep, SweepPoint};
 

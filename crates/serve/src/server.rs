@@ -34,6 +34,55 @@ use crate::queue::{AdmitQueue, QueuedRequest};
 /// Tolerance when comparing latencies against deadlines.
 const DEADLINE_EPS: f64 = 1e-9;
 
+/// Why a serve run could not start or finish: an invalid
+/// configuration, refused before it reaches batching or the planner,
+/// or a structural planning failure.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ServeError {
+    /// The dispatch window must hold at least one request.
+    ZeroWindow,
+    /// The batching cap must allow at least one request per group.
+    ZeroMaxBatch,
+    /// Offered load must be positive and finite.
+    InvalidQps(f64),
+    /// A sweep needs at least one step over `0 < lo <= hi`, both finite.
+    InvalidSweep { lo: f64, hi: f64, steps: usize },
+    /// Planning or execution failed in a way retries cannot absorb.
+    Plan(PlanError),
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeError::ZeroWindow => f.write_str("dispatch window must be at least 1"),
+            ServeError::ZeroMaxBatch => f.write_str("max batch must be at least 1"),
+            ServeError::InvalidQps(qps) => {
+                write!(f, "offered load must be positive and finite, got {qps} qps")
+            }
+            ServeError::InvalidSweep { lo, hi, steps } => write!(
+                f,
+                "sweep wants 0 < lo <= hi (finite) and steps >= 1, got {lo}..{hi} in {steps} step(s)"
+            ),
+            ServeError::Plan(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServeError::Plan(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<PlanError> for ServeError {
+    fn from(e: PlanError) -> Self {
+        ServeError::Plan(e)
+    }
+}
+
 /// Typed backpressure: why admission turned a request away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
@@ -190,6 +239,24 @@ pub struct ServeConfig {
     pub policy: RecoveryPolicy,
     /// SLO error budget for the report's burn-rate accounting.
     pub slo_budget: f64,
+}
+
+impl ServeConfig {
+    /// Checks the parameters batching and load generation rely on.
+    /// [`Server::run`] calls it before anything runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first invalid parameter as a [`ServeError`].
+    pub fn validate(&self) -> Result<(), ServeError> {
+        if self.max_batch == 0 {
+            return Err(ServeError::ZeroMaxBatch);
+        }
+        if !(self.qps > 0.0 && self.qps.is_finite()) {
+            return Err(ServeError::InvalidQps(self.qps));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ServeConfig {
@@ -389,14 +456,17 @@ pub struct Server {
 
 impl Server {
     /// Builds a server over `soc` dispatching batches of up to
-    /// `window` requests (clamped to at least 1).
+    /// `window` requests.
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError`] if the planner cannot be constructed for
+    /// Returns [`ServeError::ZeroWindow`] if `window` is 0, and
+    /// [`ServeError::Plan`] if the planner cannot be constructed for
     /// `soc`.
-    pub fn new(soc: &SocSpec, window: usize) -> Result<Self, PlanError> {
-        let window = window.max(1);
+    pub fn new(soc: &SocSpec, window: usize) -> Result<Self, ServeError> {
+        if window == 0 {
+            return Err(ServeError::ZeroWindow);
+        }
         let online = OnlinePlanner::new(Planner::new(soc)?, window);
         let mut calibration = Calibration::new(soc);
         // Measured calibration pass: execute each zoo model alone once
@@ -409,11 +479,13 @@ impl Server {
             let exec = planned.execute(soc)?;
             calibration.refine_solo(id, exec.makespan_ms);
         }
-        Ok(Server {
+        let server = Server {
             online,
             calibration,
             window,
-        })
+        };
+        server.drop_planner_records();
+        Ok(server)
     }
 
     pub fn calibration(&self) -> &Calibration {
@@ -428,10 +500,12 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError`] only for structural failures the retry
+    /// Returns a [`ServeError`] if `cfg` fails
+    /// [`ServeConfig::validate`], or for structural failures the retry
     /// loop cannot absorb (e.g. the simulator rejecting a lowered
     /// graph); load-induced failures are typed outcomes, not errors.
-    pub fn run(&self, cfg: &ServeConfig) -> Result<ServeReport, PlanError> {
+    pub fn run(&self, cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
+        cfg.validate()?;
         let arrivals = generate_arrivals(cfg.seed, cfg.qps, cfg.requests);
         let trace = TraceId::of_names(arrivals.iter().map(|a| a.model.name()));
         let mut admission = AdmissionControl::new(&self.calibration, self.window, cfg.slo_budget);
@@ -504,6 +578,7 @@ impl Server {
                 &mut anomalies,
                 &mut max_dispatch_retries,
             )?;
+            self.drop_planner_records();
         }
 
         let (max_queue_depth, max_class_depth) = queue.high_water();
@@ -589,6 +664,16 @@ impl Server {
             anomalies,
             records,
         })
+    }
+
+    /// Drops the planner's own span and lifecycle records. The serve
+    /// loop never reads them once a dispatch is done, and a long-lived
+    /// server that kept them would pay more for every dispatch than
+    /// for the one before it.
+    fn drop_planner_records(&self) {
+        let telemetry = self.online.planner().telemetry();
+        telemetry.spans.clear();
+        telemetry.lifecycle.clear();
     }
 
     /// Admission decision for one arrival, at its arrival instant.
@@ -921,6 +1006,52 @@ mod tests {
         assert_eq!(a.records, b.records);
         assert_eq!(a.json_event_lines(), b.json_event_lines());
         assert_eq!(a.counts, b.counts);
+    }
+
+    #[test]
+    fn planner_records_stay_bounded_as_runs_grow() {
+        // The planner's spans and lifecycle events are dropped after
+        // every dispatch, so what a server retains after a run does not
+        // depend on how long the run was.
+        const N: usize = 16;
+        for chaos in [false, true] {
+            let retained = |requests: usize| {
+                let srv = server();
+                let cfg = ServeConfig {
+                    qps: 4.0,
+                    requests,
+                    chaos,
+                    ..ServeConfig::default()
+                };
+                let report = srv.run(&cfg).expect("runs");
+                assert!(report.dispatches > 0);
+                let telemetry = srv.online.planner().telemetry();
+                (telemetry.spans.records().len(), telemetry.lifecycle.len())
+            };
+            let short = retained(N);
+            assert_eq!(short, retained(8 * N), "chaos {chaos}");
+            assert_eq!(short, (0, 0), "chaos {chaos}");
+        }
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors() {
+        let soc = SocSpec::kirin_990();
+        assert!(matches!(Server::new(&soc, 0), Err(ServeError::ZeroWindow)));
+        let srv = server();
+        let run = |cfg: ServeConfig| srv.run(&cfg).map(|_| ()).map_err(|e| e.to_string());
+        let zero_batch = ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        };
+        assert_eq!(run(zero_batch), Err(ServeError::ZeroMaxBatch.to_string()));
+        for qps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = ServeConfig {
+                qps,
+                ..ServeConfig::default()
+            };
+            assert_eq!(run(cfg), Err(ServeError::InvalidQps(qps).to_string()));
+        }
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! replans only windows it has not seen — the same amortisation the
 //! serving loop itself relies on.
 
-use hetero2pipe::error::PlanError;
-
-use crate::server::{ServeConfig, ServeReport, Server};
+use crate::server::{ServeConfig, ServeError, ServeReport, Server};
 
 /// One sweep point: the offered load and the full run report at it.
 #[derive(Debug, Clone)]
@@ -24,23 +22,19 @@ pub struct SweepPoint {
 ///
 /// # Errors
 ///
-/// Returns the first structural [`PlanError`] any point hits.
-///
-/// # Panics
-///
-/// Panics if `steps == 0`, `lo` is not positive finite, or `hi < lo`.
+/// Returns [`ServeError::InvalidSweep`] if `steps == 0`, `lo` is not
+/// positive finite, or `hi` is not a finite bound at or above `lo`;
+/// otherwise the first error any point's [`Server::run`] returns.
 pub fn sweep(
     server: &Server,
     base: &ServeConfig,
     lo: f64,
     hi: f64,
     steps: usize,
-) -> Result<Vec<SweepPoint>, PlanError> {
-    assert!(steps > 0, "sweep needs at least one step");
-    assert!(
-        lo > 0.0 && lo.is_finite() && hi >= lo && hi.is_finite(),
-        "sweep range must satisfy 0 < lo <= hi, got {lo}..{hi}"
-    );
+) -> Result<Vec<SweepPoint>, ServeError> {
+    if steps == 0 || !(lo > 0.0 && lo.is_finite() && hi >= lo && hi.is_finite()) {
+        return Err(ServeError::InvalidSweep { lo, hi, steps });
+    }
     let mut points = Vec::with_capacity(steps);
     for i in 0..steps {
         let qps = if steps == 1 {
@@ -87,5 +81,25 @@ mod tests {
         }
         let top = &points[3].report.counts;
         assert!(top.rejected() + top.shed > 0, "{top:?}");
+    }
+
+    #[test]
+    fn bad_ranges_are_typed_errors() {
+        let server = Server::new(&SocSpec::kirin_990(), 4).expect("planner builds");
+        let base = ServeConfig::default();
+        for (lo, hi, steps) in [
+            (1.0, 2.0, 0),
+            (0.0, 2.0, 2),
+            (2.0, 1.0, 2),
+            (1.0, f64::NAN, 2),
+        ] {
+            assert!(
+                matches!(
+                    sweep(&server, &base, lo, hi, steps),
+                    Err(ServeError::InvalidSweep { .. })
+                ),
+                "{lo}..{hi} x{steps}"
+            );
+        }
     }
 }

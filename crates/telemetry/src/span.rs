@@ -8,6 +8,21 @@
 //! every run — stable anchors for golden tests and trace diffing.
 //! Wall-clock fields (`start_us`, `dur_us`) are measured, not derived,
 //! and are the only non-deterministic part of a record.
+//!
+//! A span's ordinal is the number of spans entered before it with the
+//! same parent and the same name. Rather than scanning the record list
+//! for that count, every open stack frame carries a `name → next
+//! ordinal` counter for its children, and the recorder carries one for
+//! root spans (which includes spans opened on worker threads, whose own
+//! stacks start empty). A child can only be entered while its parent is
+//! open on the same thread, so a frame's counter sees every sibling;
+//! `enter` is O(1) and the counters live only as long as their frames.
+//!
+//! [`SpanRecorder::clear`] drops the recorded spans of a long-lived
+//! recorder, and only when no span is open on any thread, so no live
+//! guard is left holding an index into a cleared record list. The root
+//! counters survive a clear: ids are the same whether or not the
+//! recorder was ever cleared.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -18,8 +33,8 @@ use std::time::Instant;
 pub const OPEN_DUR_US: f64 = -1.0;
 
 /// One recorded span. `lane` is a dense per-recorder thread index (0 is
-/// the first thread that ever entered a span), used as the `tid` of the
-/// planner track in the chrome exporter.
+/// the first thread that entered a span since the last clear), used as
+/// the `tid` of the planner track in the chrome exporter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     pub id: u64,
@@ -37,13 +52,35 @@ impl SpanRecord {
     }
 }
 
+/// One open span on a thread's stack.
+#[derive(Debug)]
+struct Frame {
+    /// Index of the span's record.
+    index: usize,
+    /// Next ordinal per child name entered under this span.
+    children: HashMap<String, u64>,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     records: Vec<SpanRecord>,
-    /// Per-thread stack of open record indices.
-    stacks: HashMap<ThreadId, Vec<usize>>,
+    /// Per-thread stack of open spans; a thread with nothing open has
+    /// no entry.
+    stacks: HashMap<ThreadId, Vec<Frame>>,
+    /// Next ordinal per root span name.
+    roots: HashMap<String, u64>,
     /// Dense lane assignment per thread.
     lanes: HashMap<ThreadId, u64>,
+}
+
+/// Takes the next ordinal for `name` from `counters`.
+fn next_ordinal(counters: &mut HashMap<String, u64>, name: &str) -> u64 {
+    if let Some(next) = counters.get_mut(name) {
+        *next += 1;
+        return *next - 1;
+    }
+    counters.insert(name.to_owned(), 1);
+    0
 }
 
 /// Records a tree of timed phases. Create one per planner (or share via
@@ -98,21 +135,20 @@ impl SpanRecorder {
         let name = name.into();
         let start_us = self.epoch.elapsed().as_secs_f64() * 1e6;
         let thread = std::thread::current().id();
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let next_lane = inner.lanes.len() as u64;
         let lane = *inner.lanes.entry(thread).or_insert(next_lane);
         let stack = inner.stacks.entry(thread).or_default();
-        let (parent, depth) = match stack.last() {
-            Some(&ix) => (Some(inner.records[ix].id), inner.records[ix].depth + 1),
-            None => (None, 0),
+        let (parent, depth, ordinal) = match stack.last_mut() {
+            Some(frame) => {
+                let up = &inner.records[frame.index];
+                let ordinal = next_ordinal(&mut frame.children, &name);
+                (Some(up.id), up.depth + 1, ordinal)
+            }
+            None => (None, 0, next_ordinal(&mut inner.roots, &name)),
         };
-        let parent_hash = parent.unwrap_or(0);
-        let ordinal = inner
-            .records
-            .iter()
-            .filter(|r| r.parent == parent && r.name == name)
-            .count() as u64;
-        let id = fnv1a(parent_hash, &name, ordinal);
+        let id = fnv1a(parent.unwrap_or(0), &name, ordinal);
         let index = inner.records.len();
         inner.records.push(SpanRecord {
             id,
@@ -123,14 +159,31 @@ impl SpanRecorder {
             start_us,
             dur_us: OPEN_DUR_US,
         });
-        if let Some(stack) = inner.stacks.get_mut(&thread) {
-            stack.push(index);
-        }
+        stack.push(Frame {
+            index,
+            children: HashMap::new(),
+        });
         SpanGuard {
             recorder: self,
             thread,
             index,
         }
+    }
+
+    /// Drops every recorded span and the thread-to-lane assignment, so
+    /// a long-lived recorder does not grow without bound. Acts only
+    /// when no span is open on any thread (open guards hold indices
+    /// into the record list); returns whether it cleared. Ordinals of
+    /// later root spans continue where they left off, so span ids do
+    /// not depend on whether or when the recorder was cleared.
+    pub fn clear(&self) -> bool {
+        let mut inner = self.lock();
+        if !inner.stacks.is_empty() {
+            return false;
+        }
+        inner.records.clear();
+        inner.lanes.clear();
+        true
     }
 
     /// Copies out all records (closed and still-open) in enter order.
@@ -163,7 +216,10 @@ impl SpanRecorder {
             // The guard being dropped is normally the top of the stack;
             // retain-by-value keeps the recorder consistent even if
             // guards are dropped out of order.
-            stack.retain(|&ix| ix != index);
+            stack.retain(|frame| frame.index != index);
+            if stack.is_empty() {
+                inner.stacks.remove(&thread);
+            }
         }
     }
 }
@@ -185,6 +241,139 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original id definition, kept as the oracle: a span's ordinal
+    /// is found by scanning every span entered before it for ones with
+    /// the same parent and name.
+    #[derive(Default)]
+    struct ScanOracle {
+        entered: Vec<(Option<u64>, String)>,
+    }
+
+    impl ScanOracle {
+        fn enter(&mut self, parent: Option<u64>, name: &str) -> u64 {
+            let ordinal = self
+                .entered
+                .iter()
+                .filter(|(p, n)| *p == parent && n == name)
+                .count() as u64;
+            self.entered.push((parent, name.to_owned()));
+            fnv1a(parent.unwrap_or(0), name, ordinal)
+        }
+    }
+
+    /// Checks every record's id against the scan oracle, in enter order.
+    fn assert_scan_ids(history: &[SpanRecord]) {
+        let mut oracle = ScanOracle::default();
+        for (i, r) in history.iter().enumerate() {
+            assert_eq!(r.id, oracle.enter(r.parent, &r.name), "span {i} {r:?}");
+        }
+    }
+
+    const NAMES: [&str; 3] = ["window:0", "window:1", "plan"];
+
+    /// One step of a generated span workload: `(kind, arg)` where kind
+    /// 0..=2 enters `NAMES[arg % 3]`, 3..=4 drops the `arg`-th held
+    /// guard (out of order), and 5 tries a clear.
+    type Op = (u8, u8);
+
+    /// Plays `ops` on the calling thread, checking each new span's
+    /// parent against the thread's own stack of held guards. Every
+    /// clear that acts appends the records it dropped to `history`.
+    fn play(rec: &SpanRecorder, ops: &[Op], history: &mut Vec<SpanRecord>) {
+        let mut held: Vec<SpanGuard<'_>> = Vec::new();
+        for &(kind, arg) in ops {
+            match kind {
+                0..=2 => {
+                    let guard = rec.enter(NAMES[usize::from(arg) % NAMES.len()]);
+                    let inner = rec.lock();
+                    let expected = held.last().map(|g| inner.records[g.index].id);
+                    assert_eq!(inner.records[guard.index].parent, expected);
+                    drop(inner);
+                    held.push(guard);
+                }
+                3..=4 if !held.is_empty() => {
+                    drop(held.remove(usize::from(arg) % held.len()));
+                }
+                5 => {
+                    let before = rec.records();
+                    let cleared = rec.clear();
+                    assert_eq!(cleared, held.is_empty(), "clear acts iff nothing is open");
+                    if cleared {
+                        history.extend(before);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn ids_match_the_scan_oracle_with_clears(
+            ops in prop::collection::vec((0u8..6, any::<u8>()), 0..64),
+        ) {
+            let rec = SpanRecorder::new();
+            let mut history = Vec::new();
+            play(&rec, &ops, &mut history);
+            // Guards still held at the end of `play` closed on return.
+            let rest = rec.records();
+            prop_assert!(rest.iter().all(SpanRecord::is_closed));
+            history.extend(rest);
+            assert_scan_ids(&history);
+        }
+
+        #[test]
+        fn ids_match_the_scan_oracle_across_threads(
+            threads in 1usize..4,
+            ops in prop::collection::vec((0u8..5, any::<u8>()), 0..96),
+        ) {
+            // No clears here: a snapshot-then-clear would race the
+            // other threads' enters.
+            let rec = SpanRecorder::new();
+            let per_thread = ops.len().div_ceil(threads).max(1);
+            std::thread::scope(|scope| {
+                for chunk in ops.chunks(per_thread) {
+                    let rec = &rec;
+                    scope.spawn(move || play(rec, chunk, &mut Vec::new()));
+                }
+            });
+            let records = rec.records();
+            prop_assert!(records.iter().all(SpanRecord::is_closed));
+            assert_scan_ids(&records);
+        }
+    }
+
+    #[test]
+    fn clear_waits_for_open_spans_and_keeps_ids() {
+        let rec = SpanRecorder::new();
+        let root = rec.enter("plan");
+        let child = rec.enter("prepare");
+        assert!(!rec.clear(), "spans are open");
+        drop(root);
+        assert!(!rec.clear(), "the child is still open");
+        // The still-open guard closes its own record, not a stale slot.
+        drop(child);
+        let records = rec.records();
+        assert_eq!(records.len(), 2);
+        assert!(records.iter().all(SpanRecord::is_closed));
+        assert!(rec.clear());
+        assert!(rec.records().is_empty());
+        {
+            let _again = rec.enter("plan");
+        }
+        let records = rec.records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(
+            records[0].id,
+            fnv1a(0, "plan", 1),
+            "root ordinals survive a clear"
+        );
+        assert_eq!(records[0].lane, 0);
+    }
 
     #[test]
     fn nested_spans_form_a_tree() {

@@ -190,6 +190,14 @@ cmp -s "$SERVE_A" "$SERVE_B" || {
 cmp -s "$SERVE_LOG_A" "$SERVE_LOG_B" || {
     echo "serve lifecycle log is not bit-identical at a fixed seed" >&2
     serve_cleanup; exit 1; }
+# Byte-identity against the committed goldens: planner-side changes must
+# not move a single served outcome or lifecycle event.
+cmp -s "$SERVE_A" tests/golden/serve_sweep.json || {
+    echo "serve sweep JSON differs from tests/golden/serve_sweep.json" >&2
+    serve_cleanup; exit 1; }
+cmp -s "$SERVE_LOG_A" tests/golden/serve_sweep_events.jsonl || {
+    echo "serve lifecycle log differs from tests/golden/serve_sweep_events.jsonl" >&2
+    serve_cleanup; exit 1; }
 # The emitted lifecycle log must round-trip through the hardened parser
 # and replay into a clean report (reject/shed stages included).
 $H2P events "$SERVE_LOG_A" > /dev/null
@@ -197,7 +205,22 @@ $H2P report --from "$SERVE_LOG_A" --json > /dev/null
 # Chaos serving: seeded faults through the recovery machinery must still
 # leave every request with exactly one typed outcome (nonzero exit means
 # an invariant violation).
-$H2P serve --qps 3 --seed 11 --requests 24 --chaos --json > /dev/null
+$H2P serve --qps 3 --seed 11 --requests 24 --chaos --json > "$SERVE_B"
+cmp -s "$SERVE_B" tests/golden/serve_chaos.json || {
+    echo "chaos serve JSON differs from tests/golden/serve_chaos.json" >&2
+    serve_cleanup; exit 1; }
+# Invalid configurations are typed errors: a zero batching cap or a zero
+# dispatch window must exit nonzero with a message, never a panic.
+for flag in --max-batch --window; do
+    if $H2P serve "$flag" 0 --qps 3 --requests 4 > /dev/null 2> "$SERVE_LOG_B"; then
+        echo "serve accepted $flag 0" >&2
+        serve_cleanup; exit 1
+    fi
+    if grep -q panicked "$SERVE_LOG_B"; then
+        echo "serve $flag 0 panicked instead of returning a typed error" >&2
+        serve_cleanup; exit 1
+    fi
+done
 serve_cleanup
 
 echo "== bench_check --diff (perf-regression sentinel self-test)"

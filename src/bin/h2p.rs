@@ -2200,12 +2200,20 @@ fn run_serve(rest: &[String]) {
         }
         i += 1;
     }
-    if !(lo > 0.0 && lo.is_finite() && hi >= lo && hi.is_finite()) || steps == 0 || requests == 0 {
-        eprintln!("serve wants 0 < LO <= HI, steps >= 1, requests >= 1");
+    if requests == 0 {
+        eprintln!("serve wants requests >= 1");
         usage()
     }
 
-    let server = h2p_serve::Server::new(&soc, window).expect("planner");
+    let serve_failed = |e: h2p_serve::ServeError| -> ! {
+        eprintln!("serve: {e}");
+        std::process::exit(if matches!(e, h2p_serve::ServeError::Plan(_)) {
+            1
+        } else {
+            2
+        })
+    };
+    let server = h2p_serve::Server::new(&soc, window).unwrap_or_else(|e| serve_failed(e));
     let base = h2p_serve::ServeConfig {
         qps: lo,
         requests,
@@ -2215,7 +2223,8 @@ fn run_serve(rest: &[String]) {
         policy: RecoveryPolicy::default(),
         slo_budget: SloSummary::DEFAULT_BUDGET,
     };
-    let points = h2p_serve::sweep(&server, &base, lo, hi, steps).expect("serve");
+    let points =
+        h2p_serve::sweep(&server, &base, lo, hi, steps).unwrap_or_else(|e| serve_failed(e));
 
     let mut total_violations = 0usize;
     let mut all_violations: Vec<(f64, String)> = Vec::new();
