@@ -138,7 +138,9 @@ fn bench_recovery_replan(c: &mut Criterion) {
     // drops out, every request is re-partitioned over the ordered
     // subsets of the surviving slots and re-aligned by work stealing.
     // This is the latency a live deployment pays between a dropout
-    // notification and the resumed pipeline.
+    // notification and the resumed pipeline. After the first iteration
+    // every request's subset search is served from its tables' survivor
+    // memo, so the steady state is context derivation plus stealing.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     let graphs: Vec<Arc<ModelGraph>> = workload(8).into_iter().map(Arc::new).collect();
@@ -170,6 +172,25 @@ fn bench_serve_sweep(c: &mut Criterion) {
         ..h2p_serve::ServeConfig::default()
     };
     c.bench_function("serve/sweep_qps/16", |b| {
+        b.iter(|| server.run(&cfg).expect("serve"))
+    });
+}
+
+fn bench_serve_chaos(c: &mut Criterion) {
+    // The serving loop under seeded faults: every dispatch runs through
+    // the recovery runner (round 0 from the window cache, survivor
+    // replans after dropouts and retries, faulted simulation and its
+    // audit). Below the knee, so most of the 16 requests are served.
+    let soc = SocSpec::kirin_990();
+    let server = h2p_serve::Server::new(&soc, 4).expect("server");
+    let cfg = h2p_serve::ServeConfig {
+        qps: 2.0,
+        requests: 16,
+        seed: 7,
+        chaos: true,
+        ..h2p_serve::ServeConfig::default()
+    };
+    c.bench_function("serve/chaos_qps/2", |b| {
         b.iter(|| server.run(&cfg).expect("serve"))
     });
 }
@@ -258,5 +279,6 @@ fn main() {
     bench_online_replan(&mut criterion);
     bench_recovery_replan(&mut criterion);
     bench_serve_sweep(&mut criterion);
+    bench_serve_chaos(&mut criterion);
     write_json(&criterion::take_results());
 }

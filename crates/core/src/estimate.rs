@@ -23,7 +23,7 @@
 //!   bit-identical stage costs.
 
 use crate::sync::{Arc, Mutex};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use h2p_contention::{ContentionClass, IntensityModel};
 use h2p_models::cost::{CostModel, CostTable};
@@ -47,6 +47,14 @@ type IntensityMemo = HashMap<String, Vec<(Arc<ModelGraph>, f64, ContentionClass)
 /// availability (a dropped or depth-truncated slot changes the list), and
 /// the graph is compared in full because names alone are not unique.
 type TablesMemo = HashMap<String, Vec<(Arc<ModelGraph>, Vec<ProcessorId>, Arc<RequestTables>)>>;
+
+/// A survivor-subset search result: the winning ordered slot subset and
+/// its DP split points, or `None` when no subset can host the request.
+pub(crate) type SurvivorPick = Option<(Vec<usize>, Vec<usize>)>;
+
+/// Survivor-subset search results per `(surviving slots, blocked NPU
+/// slot)` key, for one [`RequestTables`].
+type SurvivorMemo = BTreeMap<(Vec<usize>, Option<usize>), SurvivorPick>;
 
 /// Bundles the cost model and the trained contention-intensity model.
 #[derive(Debug, Clone)]
@@ -94,31 +102,6 @@ impl Estimator {
         let cost = CostModel::with_precision(soc, precision);
         let intensity =
             IntensityModel::train_default(&cost, &zoo, pmu_proc).map_err(PlanError::Training)?;
-        Ok(Estimator {
-            cost,
-            intensity,
-            pmu_proc,
-            intensity_memo: Arc::new(Mutex::new(HashMap::new())),
-            tables_memo: Arc::new(Mutex::new(HashMap::new())),
-        })
-    }
-
-    /// Creates an estimator trained on a custom profiling set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::NoCpu`] if the SoC lacks a big CPU cluster, or
-    /// [`PlanError::Training`] if the regression cannot be fitted.
-    pub fn with_profiling_set(
-        soc: &SocSpec,
-        profiling_set: &[ModelGraph],
-    ) -> Result<Self, PlanError> {
-        let pmu_proc = soc
-            .processor_by_kind(ProcessorKind::CpuBig)
-            .ok_or(PlanError::NoCpu)?;
-        let cost = CostModel::new(soc);
-        let intensity = IntensityModel::train_default(&cost, profiling_set, pmu_proc)
-            .map_err(PlanError::Training)?;
         Ok(Estimator {
             cost,
             intensity,
@@ -280,6 +263,7 @@ impl Estimator {
             feas_from,
             zero_copy: vec![0.0; n],
             fallback,
+            survivor_memo: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -341,9 +325,9 @@ fn assert_active_slots(active_slots: &[usize]) {
 }
 
 /// Shared per-request planning tables over the full pipeline processor
-/// list (see [`Estimator::tables`]). Cloning is cheap (`Arc` internals);
-/// deriving per-subset contexts does not rebuild any table.
-#[derive(Debug, Clone)]
+/// list (see [`Estimator::tables`]). Deriving per-subset contexts does
+/// not rebuild any table.
+#[derive(Debug)]
 pub struct RequestTables {
     graph: Arc<ModelGraph>,
     pipeline_procs: Vec<ProcessorId>,
@@ -363,6 +347,10 @@ pub struct RequestTables {
     /// `(pipeline slot of the NPU, fallback arrays)`, if the pipeline
     /// includes an NPU.
     fallback: Option<(usize, Arc<NpuFallback>)>,
+    /// Recovery's survivor-subset search results (see
+    /// [`RequestTables::survivor_pick`]): at most `2^k × 2` entries, and
+    /// they die with the tables.
+    survivor_memo: Mutex<SurvivorMemo>,
 }
 
 impl RequestTables {
@@ -384,6 +372,35 @@ impl RequestTables {
     /// The NPU slot and its operator-fallback arrays, if present.
     pub(crate) fn fallback(&self) -> Option<(usize, &NpuFallback)> {
         self.fallback.as_ref().map(|(s, core)| (*s, core.as_ref()))
+    }
+
+    /// The survivor-subset search result for the `surviving` slots with
+    /// the NPU slot `blocked` (or none) excluded: memoized, or computed
+    /// by `search` and stored. The result is a pure function of these
+    /// tables and the key, so a hit equals a fresh search.
+    pub(crate) fn survivor_pick(
+        &self,
+        surviving: &[usize],
+        blocked: Option<usize>,
+        search: impl FnOnce() -> SurvivorPick,
+    ) -> SurvivorPick {
+        let mut memo = match self.survivor_memo.lock() {
+            Ok(guard) => guard,
+            // Pure cache: a poisoned lock cannot hold partial state.
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        memo.entry((surviving.to_vec(), blocked))
+            .or_insert_with(search)
+            .clone()
+    }
+
+    /// Number of memoized survivor-subset picks.
+    #[cfg(test)]
+    pub(crate) fn survivor_memo_len(&self) -> usize {
+        match self.survivor_memo.lock() {
+            Ok(guard) => guard.len(),
+            Err(poisoned) => poisoned.into_inner().len(),
+        }
     }
 
     /// Lowers pipeline stage `a` of the ordered `slots` subset into the

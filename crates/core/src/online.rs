@@ -20,7 +20,10 @@
 //! go stale:
 //!
 //! * the **window's model graphs** (full equality — names alone are not
-//!   unique),
+//!   unique), compared through the memoized plan's own contexts: each
+//!   `RequestContext` holds its request's graph as an `Arc` shared with
+//!   the estimator's tables cache, in request order, so an entry stores
+//!   no copy of its graphs,
 //! * the **contention class** of every request (re-checked against the
 //!   estimator on every lookup, so a reclassification invalidates),
 //! * the **pipeline processor list** (processor availability — a dropped
@@ -43,14 +46,13 @@ use h2p_telemetry::span;
 
 use crate::error::PlanError;
 use crate::par;
-use crate::plan::PipelinePlan;
 use crate::planner::{PlannedPipeline, Planner};
 
 /// One memoized window: the key components and the finished plan (with
-/// window-local request indices).
+/// window-local request indices). The plan's contexts carry the window's
+/// graphs, so they are not stored again.
 #[derive(Debug, Clone)]
 struct WindowEntry {
-    graphs: Vec<ModelGraph>,
     classes: Vec<ContentionClass>,
     procs: Vec<ProcessorId>,
     planned: PlannedPipeline,
@@ -67,10 +69,11 @@ impl WindowEntry {
         classes: &[ContentionClass],
         procs: &[ProcessorId],
     ) -> bool {
+        let contexts = &self.planned.contexts;
         self.procs == procs
             && self.classes == classes
-            && self.graphs.len() == graphs.len()
-            && self.graphs.iter().zip(graphs).all(|(a, b)| a == b)
+            && contexts.len() == graphs.len()
+            && contexts.iter().zip(graphs).all(|(c, g)| *c.graph == *g)
     }
 }
 
@@ -281,11 +284,15 @@ impl OnlinePlanner {
             .add("online.window_cache.misses", missed.len() as u64);
 
         // Debug-build equivalence gate: every hit re-plans its window
-        // from scratch and must match the memoized plan bit for bit.
+        // from scratch and must match the memoized plan bit for bit. The
+        // check plans on a clone with its own telemetry sink, so debug
+        // and release builds record the same planner invocations.
         #[cfg(debug_assertions)]
         for (w, chunk) in chunks.iter().enumerate() {
             if let Some(cached) = &window_plans[w] {
-                let fresh = self.planner.plan_with_threads(chunk, 1)?;
+                let mut shadow = self.planner.clone();
+                shadow.set_telemetry(Arc::new(h2p_telemetry::Telemetry::new()));
+                let fresh = shadow.plan_with_threads(chunk, 1)?;
                 debug_assert!(
                     fresh.plan == cached.plan && fresh.tail_merges == cached.tail_merges,
                     "window {w}: memoized plan diverged from the from-scratch plan"
@@ -312,7 +319,6 @@ impl OnlinePlanner {
             };
             for (&w, planned) in missed.iter().zip(fresh) {
                 cache.push(WindowEntry {
-                    graphs: chunks[w].to_vec(),
                     classes: classes[w].clone(),
                     procs: procs.clone(),
                     planned: planned.clone(),
@@ -347,19 +353,12 @@ impl OnlinePlanner {
         }
     }
 
-    /// Plans and returns only the [`PipelinePlan`] (convenience).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if any window fails to plan.
-    pub fn plan_pipeline(&self, requests: &[ModelGraph]) -> Result<PipelinePlan, PlanError> {
-        Ok(self.plan(requests)?.plan)
-    }
-
     /// Runs the request stream under scripted faults, reacting to fault
     /// notifications by re-planning the unexecuted work on the surviving
-    /// processor set (see [`crate::recovery`]). Fault-free streams take
-    /// the normal planning path and complete in one round.
+    /// processor set (see [`crate::recovery`]). Round 0 is planned by
+    /// [`OnlinePlanner::plan_incremental`], so a window this planner has
+    /// seen before comes from the window cache; fault-free streams
+    /// complete in that one round.
     ///
     /// # Errors
     ///
@@ -371,7 +370,9 @@ impl OnlinePlanner {
         faults: &[h2p_simulator::FaultSpec],
         policy: &crate::recovery::RecoveryPolicy,
     ) -> Result<crate::recovery::RecoveryReport, PlanError> {
-        crate::recovery::run_with_recovery(&self.planner, requests, faults, policy)
+        crate::recovery::run_rounds(&self.planner, requests, faults, policy, || {
+            Ok(self.plan_incremental(requests)?.plan)
+        })
     }
 }
 
@@ -539,7 +540,6 @@ mod tests {
         let procs = planner.pipeline_procs();
         let planned = planner.plan(&win).unwrap();
         let entry = WindowEntry {
-            graphs: win.clone(),
             classes: classes.clone(),
             procs: procs.clone(),
             planned,

@@ -6,16 +6,24 @@
 //! still-incomplete requests on the surviving processor set, lowers the
 //! plan, and runs it under a [`FaultInjector`] scripted from the
 //! remaining [`FaultSpec`]s (time-shifted so the script refers to the
-//! global timeline). A round ends when the engine halts — either
-//! everything completed or a fault interrupted the run — and the runner
-//! reacts:
+//! global timeline). Round 0, when no processor is down at time zero,
+//! is planned by the caller's planning step: [`Planner::plan`] for
+//! [`run_with_recovery`], and the window cache of
+//! [`crate::online::OnlinePlanner::plan_incremental`] for
+//! [`crate::online::OnlinePlanner::run_with_recovery`]. A round ends
+//! when the engine halts — either everything completed or a fault
+//! interrupted the run — and the runner reacts:
 //!
 //! * **Processor dropout** — the processor is excluded from every later
 //!   plan; orphaned and unstarted work is re-planned over surviving
 //!   slots by re-running the per-request min-max partition on every
 //!   ordered subset of the surviving pipeline slots (the same NPU
 //!   operator-fallback arrays the planner uses), then re-aligned with
-//!   work stealing.
+//!   work stealing. The winning subset and splits depend only on the
+//!   request's cost tables, the surviving slots and whether the NPU
+//!   slot is blocked (its fallback CPU is down), so the tables memoize
+//!   them: at most `2^k × 2` picks per tables for `k` pipeline slots,
+//!   freed with the tables.
 //! * **Transient task failure** — the request is retried with bounded
 //!   exponential backoff (the delay becomes the request's release time
 //!   in the next round). Exceeding [`RecoveryPolicy::max_retries`]
@@ -270,7 +278,6 @@ pub fn replan_on_survivors(
         } else {
             "planner.tables.cache_misses"
         });
-        let n = graph.len();
         // An NPU stage lowers its unsupported operators onto the
         // fallback CPU (Sec. IV), so when that CPU is down the NPU slot
         // is unusable for any model that needs the detour: a split that
@@ -286,36 +293,40 @@ pub fn replan_on_survivors(
         });
         // Survivor-subset search on the flat DP kernel over the cached
         // tables (bit-identical to the oracle DP), with a pooled scratch
-        // so mid-recovery replans stay allocation-free after warmup; the
-        // winning context is derived once after the loop.
-        let best = planner.with_plan_scratch(|ps| {
-            let mut best: Option<(f64, Vec<usize>, Vec<usize>)> = None;
-            for mask in 1u32..(1 << surviving.len()) {
-                let slots: Vec<usize> = surviving
-                    .iter()
-                    .enumerate()
-                    .filter(|(b, _)| mask & (1 << b) != 0)
-                    .map(|(_, &s)| s)
-                    .collect();
-                if slots.len() > n {
-                    continue;
+        // so mid-recovery replans stay allocation-free after warmup. The
+        // winner depends only on the tables and the key, so the tables
+        // memoize it; the winning context is derived once after.
+        let n = graph.len();
+        let pick = tables.survivor_pick(&surviving, blocked_slot, || {
+            planner.with_plan_scratch(|ps| {
+                let mut best: Option<(f64, Vec<usize>, Vec<usize>)> = None;
+                for mask in 1u32..(1 << surviving.len()) {
+                    let slots: Vec<usize> = surviving
+                        .iter()
+                        .enumerate()
+                        .filter(|(b, _)| mask & (1 << b) != 0)
+                        .map(|(_, &s)| s)
+                        .collect();
+                    if slots.len() > n {
+                        continue;
+                    }
+                    if blocked_slot.is_some_and(|b| slots.contains(&b)) {
+                        continue;
+                    }
+                    let Some(ms) = tables.partition_into(&slots, 1, &mut ps.dp) else {
+                        continue;
+                    };
+                    // Strict improvement keeps the subset choice
+                    // deterministic under cost ties (first ascending
+                    // mask wins).
+                    if best.as_ref().is_none_or(|(m, _, _)| ms < m - 1e-12) {
+                        best = Some((ms, slots, ps.dp.splits().to_vec()));
+                    }
                 }
-                if blocked_slot.is_some_and(|b| slots.contains(&b)) {
-                    continue;
-                }
-                let Some(ms) = tables.partition_into(&slots, 1, &mut ps.dp) else {
-                    continue;
-                };
-                // Strict improvement keeps the subset choice
-                // deterministic under cost ties (first ascending mask
-                // wins).
-                if best.as_ref().is_none_or(|(m, _, _)| ms < m - 1e-12) {
-                    best = Some((ms, slots, ps.dp.splits().to_vec()));
-                }
-            }
-            best
+                best.map(|(_, slots, splits)| (slots, splits))
+            })
         });
-        let Some((_, slots, splits)) = best else {
+        let Some((slots, splits)) = pick else {
             return Err(PlanError::NoFeasiblePipeline {
                 model: graph.name().to_owned(),
             });
@@ -359,12 +370,29 @@ pub fn run_with_recovery(
     faults: &[FaultSpec],
     policy: &RecoveryPolicy,
 ) -> Result<RecoveryReport, PlanError> {
+    run_rounds(planner, requests, faults, policy, || {
+        Ok(planner.plan(requests)?.plan)
+    })
+}
+
+/// The round state machine behind [`run_with_recovery`], with the
+/// round-0 plan supplied by `plan_first`. It is called at most once, at
+/// round 0, and only when no processor is down by then; every other
+/// round replans on the survivors.
+pub(crate) fn run_rounds(
+    planner: &Planner,
+    requests: &[ModelGraph],
+    faults: &[FaultSpec],
+    policy: &RecoveryPolicy,
+    plan_first: impl FnOnce() -> Result<PipelinePlan, PlanError>,
+) -> Result<RecoveryReport, PlanError> {
     if requests.is_empty() {
         return Err(PlanError::EmptyRequestSet);
     }
     let soc = planner.soc().clone();
     let n_proc = soc.processors.len();
     let m = requests.len();
+    let mut plan_first = Some(plan_first);
     let graphs: Vec<Arc<ModelGraph>> = requests.iter().map(|g| Arc::new(g.clone())).collect();
     let mut script = FaultScript::compile(faults, n_proc, m)?;
     let telemetry = planner.telemetry();
@@ -376,8 +404,8 @@ pub fn run_with_recovery(
     let mut elapsed = 0.0f64;
     // Lifecycle: the recovery loop owns the requests' histories on the
     // global timeline, under the same content-derived trace id the
-    // planner emits for this batch (the round-0 `planner.plan` call
-    // records its own admit/plan pair under the identical id — duplicate
+    // planner emits for this batch (the round-0 planning step records
+    // its own admit/plan pair under the identical id — duplicate
     // admissions are legal re-admissions). Admitting up front keeps the
     // stream causal even when round 0 degrades before planning.
     let trace_id = TraceId::of_names(requests.iter().map(ModelGraph::name));
@@ -423,31 +451,29 @@ pub fn run_with_recovery(
             }
 
             // Plan this round's work. The first full-set, fault-free
-            // round uses the production planner path unchanged; any
-            // reduced or retried set goes through the survivor replan.
-            let plan = if round == 0 && !down.iter().any(|&d| d) {
-                match planner.plan(requests) {
-                    Ok(planned) => planned.plan,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                telemetry.metrics.inc("recovery.replans");
-                report.replans += 1;
-                for &r in &pending {
-                    telemetry.lifecycle.record(
-                        trace_id,
-                        RequestId(r),
-                        elapsed,
-                        LifecycleStage::Recover { round },
-                    );
-                }
-                match replan_on_survivors(planner, &graphs, &pending, &down) {
-                    Ok((plan, _)) => plan,
-                    Err(
-                        e @ (PlanError::NoSurvivingProcessors
-                        | PlanError::NoFeasiblePipeline { .. }),
-                    ) => break 'rounds RecoveryOutcome::Degraded(e),
-                    Err(e) => return Err(e),
+            // round uses the caller's planning step; any reduced or
+            // retried set goes through the survivor replan.
+            let plan = match plan_first.take() {
+                Some(plan_first) if !down.iter().any(|&d| d) => plan_first()?,
+                _ => {
+                    telemetry.metrics.inc("recovery.replans");
+                    report.replans += 1;
+                    for &r in &pending {
+                        telemetry.lifecycle.record(
+                            trace_id,
+                            RequestId(r),
+                            elapsed,
+                            LifecycleStage::Recover { round },
+                        );
+                    }
+                    match replan_on_survivors(planner, &graphs, &pending, &down) {
+                        Ok((plan, _)) => plan,
+                        Err(
+                            e @ (PlanError::NoSurvivingProcessors
+                            | PlanError::NoFeasiblePipeline { .. }),
+                        ) => break 'rounds RecoveryOutcome::Degraded(e),
+                        Err(e) => return Err(e),
+                    }
                 }
             };
 
@@ -845,6 +871,52 @@ mod tests {
                     _ => {}
                 }
             }
+        }
+    }
+
+    /// The survivor memo is an oracle-checked cache: for every zoo model
+    /// and every down mask (the NPU-fallback-CPU-down case included), a
+    /// repeat replan that hits the memo and a replan on a fresh planner
+    /// must equal the first one, and the memo stays within its bound.
+    #[test]
+    fn survivor_memo_matches_fresh_search_for_every_down_mask() {
+        let soc = SocSpec::kirin_990();
+        let warm = Planner::new(&soc).unwrap();
+        let graphs: Vec<Arc<ModelGraph>> =
+            ModelId::ALL.iter().map(|m| Arc::new(m.graph())).collect();
+        let n_proc = soc.processors.len();
+        let cpu_b = soc.processor_by_name("CPU_B").unwrap().index();
+        let npu = soc.processor_by_name("NPU").unwrap().index();
+        let slots = |r: Result<(PipelinePlan, Vec<RequestContext>), PlanError>| {
+            r.map(|(plan, ctxs)| {
+                let slots: Vec<Vec<usize>> = ctxs.into_iter().map(|c| c.active_slots).collect();
+                (plan, slots)
+            })
+        };
+        let mut fallback_cpu_down = false;
+        for mask in 0u32..(1 << n_proc) {
+            let down: Vec<bool> = (0..n_proc).map(|p| mask & (1 << p) != 0).collect();
+            fallback_cpu_down |= down[cpu_b] && !down[npu];
+            let fresh_planner = Planner::new(&soc).unwrap();
+            for (m, graph) in graphs.iter().enumerate() {
+                let one = std::slice::from_ref(graph);
+                let first = slots(replan_on_survivors(&warm, one, &[0], &down));
+                let again = slots(replan_on_survivors(&warm, one, &[0], &down));
+                let fresh = slots(replan_on_survivors(&fresh_planner, one, &[0], &down));
+                assert_eq!(first, again, "model {m}, down {mask:#06b}: memo hit");
+                assert_eq!(first, fresh, "model {m}, down {mask:#06b}: fresh planner");
+            }
+        }
+        assert!(
+            fallback_cpu_down,
+            "the sweep must drop the NPU's fallback CPU"
+        );
+        let procs = warm.pipeline_procs();
+        for graph in &graphs {
+            let (tables, hit) = warm.estimator().tables_cached(graph, &procs);
+            assert!(hit);
+            let len = tables.survivor_memo_len();
+            assert!(len > 0 && len <= (1 << procs.len()) * 2, "{len} entries");
         }
     }
 

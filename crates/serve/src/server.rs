@@ -24,7 +24,7 @@ use hetero2pipe::batching::{coalesce, graphs_for_groups};
 use hetero2pipe::error::PlanError;
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::planner::Planner;
-use hetero2pipe::recovery::{chaos_faults, run_with_recovery, RecoveryOutcome, RecoveryPolicy};
+use hetero2pipe::recovery::{chaos_faults, RecoveryOutcome, RecoveryPolicy};
 
 use crate::admission::{AdmissionControl, Calibration};
 use crate::class_index;
@@ -275,7 +275,7 @@ impl Default for ServeConfig {
 
 /// Everything a serve run produced, plus the bounds it ran under so
 /// [`ServeReport::verify_invariants`] is self-contained.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     pub qps: f64,
     pub seed: u64,
@@ -890,9 +890,11 @@ impl Server {
     }
 
     /// Chaos execution: a seeded fault script per dispatch, run
-    /// through the recovery machinery. Per-group completion latencies
-    /// come from the recovery runner's own lifecycle records; groups
-    /// the runner could not finish degrade with the typed outcome.
+    /// through the recovery machinery, whose round 0 is planned through
+    /// the window cache like a fault-free dispatch. Per-group completion
+    /// latencies come from the recovery runner's own lifecycle records;
+    /// groups the runner could not finish degrade with the typed
+    /// outcome.
     fn execute_chaos(
         &self,
         graphs: &[h2p_models::graph::ModelGraph],
@@ -906,7 +908,9 @@ impl Server {
         let faults = chaos_faults(planner.soc(), graphs.len(), fault_seed);
         let telemetry = planner.telemetry();
         telemetry.lifecycle.clear();
-        let report = run_with_recovery(planner, graphs, &faults, &cfg.policy)?;
+        let report = self
+            .online
+            .run_with_recovery(graphs, &faults, &cfg.policy)?;
         let mut group_latency: Vec<Option<f64>> = vec![None; graphs.len()];
         for e in telemetry.lifecycle.records() {
             if let LifecycleStage::Complete { latency_ms } = e.stage {
@@ -1032,6 +1036,33 @@ mod tests {
             assert_eq!(short, retained(8 * N), "chaos {chaos}");
             assert_eq!(short, (0, 0), "chaos {chaos}");
         }
+    }
+
+    #[test]
+    fn warm_chaos_round_zero_is_served_from_the_window_cache() {
+        // Round 0 of a chaos dispatch goes through the window cache, so
+        // a warm run plans fewer windows afresh than it dispatches.
+        let srv = server();
+        let cfg = ServeConfig {
+            qps: 2.0,
+            requests: 64,
+            chaos: true,
+            ..ServeConfig::default()
+        };
+        srv.run(&cfg).expect("warm-up runs");
+        let plans = || {
+            let snap = srv.online.planner().telemetry().metrics.snapshot();
+            snap.counter("planner.plans").unwrap_or(0)
+        };
+        let before = plans();
+        let report = srv.run(&cfg).expect("runs");
+        let fresh = plans() - before;
+        assert!(report.dispatches > 0);
+        assert!(
+            fresh < report.dispatches as u64,
+            "{fresh} fresh plans for {} dispatches",
+            report.dispatches
+        );
     }
 
     #[test]

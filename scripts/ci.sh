@@ -209,6 +209,16 @@ $H2P serve --qps 3 --seed 11 --requests 24 --chaos --json > "$SERVE_B"
 cmp -s "$SERVE_B" tests/golden/serve_chaos.json || {
     echo "chaos serve JSON differs from tests/golden/serve_chaos.json" >&2
     serve_cleanup; exit 1; }
+# A longer chaos run with degraded outcomes: the recovery path's plans
+# and lifecycle must not move by a byte.
+$H2P serve --qps 2 --seed 11 --requests 400 --chaos --json \
+    --events "$SERVE_LOG_A" > "$SERVE_B"
+cmp -s "$SERVE_B" tests/golden/serve_chaos_qps2.json || {
+    echo "chaos serve JSON differs from tests/golden/serve_chaos_qps2.json" >&2
+    serve_cleanup; exit 1; }
+cmp -s "$SERVE_LOG_A" tests/golden/serve_chaos_qps2_events.jsonl || {
+    echo "chaos lifecycle log differs from tests/golden/serve_chaos_qps2_events.jsonl" >&2
+    serve_cleanup; exit 1; }
 # Invalid configurations are typed errors: a zero batching cap or a zero
 # dispatch window must exit nonzero with a message, never a panic.
 for flag in --max-batch --window; do

@@ -98,6 +98,77 @@ fn serve_outputs_match_goldens_byte_for_byte() {
 }
 
 #[test]
+fn chaos_outputs_match_goldens_byte_for_byte() {
+    let events = std::env::temp_dir().join(format!(
+        "h2p-serve-chaos-golden-{}.jsonl",
+        std::process::id()
+    ));
+    let events_arg = events.to_str().expect("utf-8 path");
+    let (chaos, stderr, code) = h2p(&[
+        "serve",
+        "--qps",
+        "2",
+        "--seed",
+        "11",
+        "--requests",
+        "400",
+        "--chaos",
+        "--json",
+        "--events",
+        events_arg,
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let log = std::fs::read(&events).expect("event log written");
+    let _ = std::fs::remove_file(&events);
+    assert_bytes_eq(&chaos, &golden("serve_chaos_qps2.json"), "chaos serve JSON");
+    assert_bytes_eq(
+        &log,
+        &golden("serve_chaos_qps2_events.jsonl"),
+        "chaos serve event log",
+    );
+}
+
+/// The recovery path keeps caches on the server (window plans) and on
+/// its planner's cost tables (survivor-subset picks). Neither may leak
+/// into a report: a fresh server, the same server run again warm, and a
+/// server built after the first one is dropped must agree exactly. The
+/// rebuilt server plays the seeds in reverse, so its tables are
+/// allocated in another order: that catches a cache that outlives its
+/// server, e.g. one keyed on an address the next server's tables reuse.
+#[test]
+fn chaos_reports_ignore_cache_temperature_and_server_identity() {
+    let soc = SocSpec::kirin_990();
+    let seeds = [4u64, 9];
+    let cfg = |seed: u64| ServeConfig {
+        qps: 2.0,
+        requests: 96,
+        seed,
+        chaos: true,
+        ..ServeConfig::default()
+    };
+    let first = Server::new(&soc, 4).expect("server builds");
+    let fresh: Vec<_> = seeds.iter().map(|&s| first.run(&cfg(s))).collect();
+    let warm: Vec<_> = seeds.iter().map(|&s| first.run(&cfg(s))).collect();
+    drop(first);
+    let second = Server::new(&soc, 4).expect("server builds");
+    let mut rebuilt: Vec<_> = seeds.iter().rev().map(|&s| second.run(&cfg(s))).collect();
+    rebuilt.reverse();
+    for (i, seed) in seeds.iter().enumerate() {
+        let fresh = fresh[i].as_ref().expect("runs");
+        assert!(fresh.counts.complete + fresh.counts.degraded > 0);
+        for (name, other) in [("warm", &warm[i]), ("rebuilt", &rebuilt[i])] {
+            let other = other.as_ref().expect("runs");
+            assert_eq!(
+                fresh.json_event_lines(),
+                other.json_event_lines(),
+                "seed {seed}: {name} lifecycle differs"
+            );
+            assert!(fresh == other, "seed {seed}: {name} report differs");
+        }
+    }
+}
+
+#[test]
 fn zero_window_and_zero_max_batch_exit_with_a_message() {
     for (flag, message) in [
         ("--window", "dispatch window must be at least 1"),
